@@ -53,7 +53,9 @@ def to_jsonable(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return repr(obj)
+        # float(): a subclass such as numpy.float64 must hash like the
+        # plain float it round-trips to, not by its own repr.
+        return repr(float(obj))
     if isinstance(obj, Enum):
         return {"__enum__": type(obj).__name__, "value": to_jsonable(obj.value)}
     if isinstance(obj, Topology):

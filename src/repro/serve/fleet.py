@@ -484,8 +484,10 @@ class _WorkerHandle:
 class WorkerFleet:
     """N supervised worker processes behind one dispatch queue."""
 
-    #: Monitor poll period — also the granularity of crash/liveness
-    #: detection and hedging decisions.
+    #: Monitor poll period: the granularity of crash/liveness detection,
+    #: respawn, recycle and hedging.  Dispatch does not wait on it — jobs
+    #: go out on submit (:meth:`run`) and on completion (the monitor
+    #: re-dispatches right after reading a reply).
     _POLL_S = 0.05
 
     def __init__(self, config: FleetConfig | None = None):
@@ -495,6 +497,10 @@ class WorkerFleet:
             "fork" if "fork" in methods else None
         )
         self._lock = threading.Lock()
+        #: Signalled on every change :meth:`drain` and
+        #: :meth:`_await_slot_recycle` wait for: a job finishing, a worker
+        #: going down, a slot respawning or recycling, shutdown.
+        self._changed = threading.Condition(self._lock)
         self._queue: deque[_FleetJob] = deque()
         self._jobs: dict[int, _FleetJob] = {}
         self._job_ids = itertools.count(1)
@@ -559,6 +565,7 @@ class WorkerFleet:
             return
         job, handle.job = handle.job, None
         handle.state = "dead"
+        self._changed.notify_all()
         self.counters["worker_crashes"] += 1
         self._governors[handle.slot].crashed()
         try:
@@ -605,6 +612,7 @@ class WorkerFleet:
         self._jobs.pop(job.id, None)
         self.counters["failed" if error is not None else "completed"] += 1
         job.event.set()
+        self._changed.notify_all()
 
     # -- monitor loop --------------------------------------------------------
 
@@ -680,6 +688,7 @@ class WorkerFleet:
             self._workers[index] = self._spawn(
                 handle.slot, handle.generation + 1
             )
+            self._changed.notify_all()
 
     def _idle_worker(self, exclude: set[int]) -> _WorkerHandle | None:
         fallback = None
@@ -721,6 +730,7 @@ class WorkerFleet:
             self._workers[index] = self._spawn(
                 handle.slot, handle.generation + 1
             )
+            self._changed.notify_all()
 
     def _dispatch_queued(self) -> None:
         while self._queue:
@@ -836,6 +846,7 @@ class WorkerFleet:
             job = _FleetJob(next(self._job_ids), request, deadline)
             self._jobs[job.id] = job
             self._queue.append(job)
+            self._dispatch_queued()
         # The worker enforces the deadline *inside* the compile; this
         # outer wait only catches a fleet that cannot answer at all
         # (every worker crash-looping), with slack for detection.
@@ -927,8 +938,8 @@ class WorkerFleet:
         """
         killed = False
         deadline = time.monotonic() + max(0.1, timeout_s)
-        while True:
-            with self._lock:
+        with self._changed:
+            while True:
                 if self._stopped:
                     return None
                 current = self._workers[index]
@@ -960,7 +971,7 @@ class WorkerFleet:
                     )
                 elif killed and time.monotonic() >= deadline:
                     return False  # respawn is quarantined; move on
-            time.sleep(self._POLL_S)
+                self._changed.wait(max(0.0, deadline - time.monotonic()))
 
     # -- drain / shutdown ----------------------------------------------------
 
@@ -974,15 +985,10 @@ class WorkerFleet:
         timeout_s = (
             self.config.drain_timeout_s if timeout_s is None else timeout_s
         )
-        with self._lock:
-            self._draining = True
         limit = time.monotonic() + timeout_s
-        while time.monotonic() < limit:
-            with self._lock:
-                if not self._jobs:
-                    break
-            time.sleep(self._POLL_S)
-        with self._lock:
+        with self._changed:
+            self._draining = True
+            self._changed.wait_for(lambda: not self._jobs, max(0.0, limit - time.monotonic()))
             clean = not self._jobs
         reaped = self.shutdown()
         return clean and reaped
@@ -1005,6 +1011,7 @@ class WorkerFleet:
                         ),
                     )
                 self._queue.clear()
+                self._changed.notify_all()
             handles = list(self._workers)
         if threading.current_thread() is not self._monitor:
             self._monitor.join(timeout=2.0)

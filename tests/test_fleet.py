@@ -7,6 +7,9 @@ runs in tier 1; the kill -9 / wedge / corruption scenarios live in
 
 import multiprocessing
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -244,6 +247,54 @@ class TestWorkerFleet:
                 )
         finally:
             fleet.shutdown()
+
+    def test_dispatch_does_not_wait_on_the_monitor_tick(self, fresh_cache, monkeypatch):
+        # A job goes to an idle worker when it is submitted.  With the
+        # monitor tick stretched to 2 s and heartbeats too rare to wake
+        # the monitor, a hit that waited on the tick would take ~2 s.
+        monkeypatch.setattr(WorkerFleet, "_POLL_S", 2.0)
+        fleet = _fast_fleet(workers=1, heartbeat_s=60.0, liveness_timeout_s=600.0)
+        request = CompileRequest(graph=build_diamond(), cluster=paper_testbed())
+        try:
+            fleet.run(request, None)  # warm the cache
+            for _ in range(5):
+                start = time.monotonic()
+                value, _ = fleet.run(request, None)
+                assert time.monotonic() - start < 0.5
+                assert value.floorplan_tier == "full"
+        finally:
+            fleet.shutdown()
+
+    def test_concurrent_submits_dispatch_each_job_once(self, fresh_cache):
+        # Callers dispatch on their own threads while the monitor reads
+        # replies: more submitters than workers and cores, a short
+        # switch interval, and every job must run exactly once.
+        fleet = _fast_fleet(workers=2)
+        request = CompileRequest(graph=build_diamond(), cluster=paper_testbed())
+        results = []
+
+        def submit():
+            for _ in range(5):
+                results.append(fleet.run(request, None)[0].floorplan_tier)
+
+        interval = sys.getswitchinterval()
+        try:
+            fleet.run(request, None)  # warm the cache
+            sys.setswitchinterval(1e-5)
+            threads = [threading.Thread(target=submit) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            health = fleet.health()
+        finally:
+            sys.setswitchinterval(interval)
+            fleet.shutdown()
+        assert results == ["full"] * 40
+        assert health["counters"]["dispatched"] == 41
+        assert health["counters"]["completed"] == 41
+        assert health["queue_depth"] == 0 and health["inflight"] == 0
 
     def test_drain_is_clean_and_leaves_no_children(self, fresh_cache):
         fleet = _fast_fleet(workers=2)

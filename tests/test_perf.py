@@ -149,6 +149,20 @@ class TestFingerprint:
     def test_canonical_json_sorts_dict_keys(self, cache):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
 
+    def test_numpy_floats_hash_like_their_json_round_trip(self, cache):
+        # The KNN graph carries a numpy.float64 work estimate; it must
+        # fingerprint like the same graph read back from JSON.
+        import json
+
+        from repro.graph.serialize import graph_from_dict, graph_to_dict
+        from repro.serve.server import build_app_graph
+
+        graph = build_app_graph("knn")
+        document = canonical_json(graph)
+        round_trip = graph_from_dict(json.loads(json.dumps(graph_to_dict(graph))))
+        assert document == canonical_json(round_trip)
+        assert "np." not in document
+
     def test_graph_document_order_is_significant(self, cache):
         # Insertion order can steer solver tie-breaking, so it is part of
         # the key: same content, different order, different fingerprint.

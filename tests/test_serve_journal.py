@@ -217,6 +217,19 @@ class TestJournalLifecycle:
         assert state is not None and state["quotas"] == {"a": 3}
         reopened.close()
 
+    def test_first_checkpoint_is_due_on_a_freshly_booted_host(self, tmp_path, monkeypatch):
+        # The monotonic clock counts from boot.  On a host up for less
+        # than the interval, "never checkpointed" must still be due.
+        import repro.serve.journal as journal_module
+
+        monkeypatch.setattr(journal_module.time, "monotonic", lambda: 5.0)
+        journal = ServeJournal(str(tmp_path), ttl_s=3600, checkpoint_interval_s=3600)
+        try:
+            assert journal.checkpoint({"quotas": {"a": 1}})
+            assert not journal.checkpoint({"quotas": {"a": 2}})
+        finally:
+            journal.close()
+
     def test_boot_compaction_bounds_the_file(self, tmp_path):
         import os
 
