@@ -63,6 +63,7 @@ except ImportError:  # pragma: no cover
     fcntl = None
 
 from .fingerprint import fingerprint_compile, fingerprint_simulate
+from .supervise import env_number
 
 _ENTRY_SUFFIX = ".pkl"
 
@@ -369,10 +370,7 @@ _GLOBAL_CACHE: DesignCache | None = None
 
 
 def _env_memory_limit() -> int:
-    try:
-        return max(0, int(os.environ.get("REPRO_CACHE_MEMORY_ENTRIES", "0")))
-    except ValueError:
-        return 0
+    return max(0, env_number("REPRO_CACHE_MEMORY_ENTRIES", 0, int))
 
 
 def _after_fork_in_child() -> None:

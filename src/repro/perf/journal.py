@@ -31,6 +31,11 @@ a corrupt middle line, or a payload whose checksum does not match are
 all skipped, never raised.  Writing failures *are* raised
 (:class:`~repro.errors.JournalError`) — silently losing journal records
 would break the resume contract.
+
+The record log itself — :func:`read_records`, :class:`AppendLog`,
+:func:`encode_line` and :func:`encode_blob`/:func:`decode_blob` — is
+shared with the serving write-ahead log (:mod:`repro.serve.journal`);
+each journal is only a record schema and a fold over it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import pickle
 import re
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import JournalError
 from .fingerprint import model_constants_fingerprint, to_jsonable
@@ -54,6 +59,122 @@ JOURNAL_SCHEMA_VERSION = 1
 
 _RUN_SUFFIX = ".jsonl"
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+
+# ---------------------------------------------------------------------------
+# The append-log primitive: one fsync'd JSONL file of dict records
+# ---------------------------------------------------------------------------
+
+
+def encode_line(record: dict) -> str:
+    """The canonical one-line JSON form every journal record is written in."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def read_records(path: str) -> list[dict]:
+    """Every readable record of a JSONL file, in order.
+
+    Blank lines, lines that do not decode (a torn final line after a
+    crash, or a scribbled-on middle one) and lines that are not JSON
+    objects are skipped, never raised; a missing file has no records.
+    """
+    try:
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+    except OSError:
+        return []
+    records = []
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records
+
+
+class AppendLog:
+    """The write side of a JSONL journal: one fsync'd record per append.
+
+    The file is opened lazily on the first append.  A file that is new
+    (or empty) first gets the record ``header()`` returns; an existing
+    file whose final line was torn by a crash gets that line terminated,
+    so the next record starts on its own line instead of being glued to
+    (and lost with) it.  Each record is flushed and fsync'd before
+    :meth:`append` returns.  Not thread-safe: callers that append from
+    several threads hold their own lock.
+    """
+
+    def __init__(self, path: str, header: Callable[[], dict]):
+        self.path = path
+        self._header = header
+        self._handle = None
+
+    def append(self, record: dict) -> None:
+        """Write one record durably; raises :class:`OSError` on failure."""
+        if self._handle is None:
+            self._open()
+        self._handle.write(encode_line(record).encode("utf-8") + b"\n")
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def _open(self) -> None:
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        handle = open(self.path, "a+b")
+        if handle.seek(0, os.SEEK_END) == 0:
+            handle.write(encode_line(self._header()).encode("utf-8") + b"\n")
+        else:
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
+        self._handle = handle
+
+    def close(self) -> None:
+        if self._handle is not None:
+            try:
+                self._handle.close()
+            finally:
+                self._handle = None
+
+
+def encode_blob(blob: bytes) -> dict[str, str]:
+    """The ``payload`` (base64) and ``sha256`` fields carrying ``blob``."""
+    return {
+        "payload": base64.b64encode(blob).decode("ascii"),
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    }
+
+
+def decode_blob(record: dict) -> bytes | None:
+    """The checksum-verified blob of a record, or None when it is absent,
+    torn or corrupted (treated as never written)."""
+    payload = record.get("payload")
+    digest = record.get("sha256")
+    if not isinstance(payload, str) or not isinstance(digest, str):
+        return None
+    try:
+        blob = base64.b64decode(payload.encode("ascii"), validate=True)
+    except (ValueError, UnicodeEncodeError):
+        return None
+    if hashlib.sha256(blob).hexdigest() != digest:
+        return None
+    return blob
+
+
+def pickle_blob(value: Any) -> bytes | None:
+    """``value`` pickled for a blob field, or None when it will not pickle."""
+    try:
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Run journals
+# ---------------------------------------------------------------------------
 
 
 def default_runs_dir() -> str:
@@ -82,10 +203,8 @@ def spec_key(fn: Any, args: tuple = (), kwargs: dict | None = None) -> str:
     to ``repr`` — stable for the value types experiments actually sweep.
     """
     try:
-        payload = json.dumps(
-            to_jsonable({"args": list(args), "kwargs": kwargs or {}}),
-            sort_keys=True,
-            separators=(",", ":"),
+        payload = encode_line(
+            to_jsonable({"args": list(args), "kwargs": kwargs or {}})
         )
     except TypeError:
         payload = repr((args, sorted((kwargs or {}).items())))
@@ -128,7 +247,7 @@ class RunJournal:
         self._labels: dict[str, str] = {}
         self._complete = False
         self._mergeable = True
-        self._handle = None
+        self._log = AppendLog(path, self._header)
         self._load()
 
     # -- construction --------------------------------------------------------
@@ -149,32 +268,13 @@ class RunJournal:
     # -- reading -------------------------------------------------------------
 
     def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Truncated mid-write (the final line after a crash) or
-                # scribbled on: skip, never raise.
-                continue
-            if not isinstance(record, dict):
-                continue
+        for record in read_records(self.path):
             kind = record.get("kind")
             if kind == "header":
                 self.experiment = record.get("experiment", self.experiment)
-                if record.get("schema") != JOURNAL_SCHEMA_VERSION:
-                    self._mergeable = False
-                if record.get("model") != model_constants_fingerprint():
-                    # Results computed under different model constants
-                    # must not be merged into a current-model run.
-                    self._mergeable = False
+                # Results computed under a different schema or different
+                # model constants must not be merged into this run.
+                self._mergeable = self._mergeable and _header_mergeable(record)
             elif kind == "point":
                 self._load_point(record)
             elif kind == "end":
@@ -189,15 +289,8 @@ class RunJournal:
             self._failed[key] = str(record.get("error", "unknown failure"))
             self._labels[key] = label
             return
-        payload = record.get("payload")
-        digest = record.get("sha256")
-        if not isinstance(payload, str) or not isinstance(digest, str):
-            return
-        try:
-            blob = base64.b64decode(payload.encode("ascii"), validate=True)
-        except (ValueError, UnicodeEncodeError):
-            return
-        if hashlib.sha256(blob).hexdigest() != digest:
+        blob = decode_blob(record)
+        if blob is None:
             return  # torn or corrupted record: treat as never written
         try:
             value = pickle.loads(blob)
@@ -235,56 +328,31 @@ class RunJournal:
 
     # -- writing -------------------------------------------------------------
 
+    def _header(self) -> dict:
+        return {
+            "kind": "header",
+            "run_id": self.run_id,
+            "experiment": self.experiment,
+            "schema": JOURNAL_SCHEMA_VERSION,
+            "model": model_constants_fingerprint(),
+            "created_unix": time.time(),
+        }
+
     def _append(self, record: dict) -> None:
         try:
-            if self._handle is None:
-                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-                is_new = not os.path.exists(self.path)
-                if not is_new:
-                    # A crash can leave a torn final line with no newline;
-                    # terminate it so the next record starts on its own
-                    # line instead of being glued to (and lost with) it.
-                    with open(self.path, "rb") as existing:
-                        existing.seek(0, os.SEEK_END)
-                        if existing.tell() > 0:
-                            existing.seek(-1, os.SEEK_END)
-                            torn = existing.read(1) != b"\n"
-                        else:
-                            torn = False
-                self._handle = open(self.path, "a", encoding="utf-8")
-                if not is_new and torn:
-                    self._handle.write("\n")
-                if is_new:
-                    self._append_raw(
-                        {
-                            "kind": "header",
-                            "run_id": self.run_id,
-                            "experiment": self.experiment,
-                            "schema": JOURNAL_SCHEMA_VERSION,
-                            "model": model_constants_fingerprint(),
-                            "created_unix": time.time(),
-                        }
-                    )
-            self._append_raw(record)
+            self._log.append(record)
         except OSError as exc:
             raise JournalError(
                 f"cannot append to run journal {self.path}: {exc}"
             ) from exc
-
-    def _append_raw(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
 
     def record_point(
         self, key: str, value: Any, label: str = "", elapsed_s: float = 0.0
     ) -> bool:
         """Journal one completed point; returns False when the result is
         unpicklable (the point simply stays non-resumable)."""
-        try:
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
+        blob = pickle_blob(value)
+        if blob is None:
             return False
         self._append(
             {
@@ -292,9 +360,8 @@ class RunJournal:
                 "key": key,
                 "label": label,
                 "status": "ok",
-                "payload": base64.b64encode(blob).decode("ascii"),
-                "sha256": hashlib.sha256(blob).hexdigest(),
                 "elapsed_s": elapsed_s,
+                **encode_blob(blob),
             }
         )
         self._completed[key] = (value, elapsed_s)
@@ -322,11 +389,7 @@ class RunJournal:
         self._complete = status == "complete"
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "RunJournal":
         return self
@@ -381,29 +444,12 @@ def list_runs(runs_dir: str | None = None) -> list[RunInfo]:
 
 def _scan_run(path: str, info: RunInfo) -> None:
     """Cheap single-pass scan of a journal file for listing purposes."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(record, dict):
-            continue
+    for record in read_records(path):
         kind = record.get("kind")
         if kind == "header":
             info.experiment = record.get("experiment", "")
             info.created_unix = float(record.get("created_unix", 0.0))
-            if record.get("schema") != JOURNAL_SCHEMA_VERSION:
-                info.mergeable = False
-            if record.get("model") != model_constants_fingerprint():
-                info.mergeable = False
+            info.mergeable = info.mergeable and _header_mergeable(record)
         elif kind == "point":
             if record.get("status") == "failed":
                 info.points_failed += 1
@@ -411,6 +457,14 @@ def _scan_run(path: str, info: RunInfo) -> None:
                 info.points_ok += 1
         elif kind == "end":
             info.complete = record.get("status") == "complete"
+
+
+def _header_mergeable(header: dict) -> bool:
+    """Whether a run header matches this schema and these model constants."""
+    return (
+        header.get("schema") == JOURNAL_SCHEMA_VERSION
+        and header.get("model") == model_constants_fingerprint()
+    )
 
 
 def runs_report(runs_dir: str | None = None) -> str:

@@ -37,7 +37,6 @@ quarantine, and journaling still apply.
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
@@ -50,7 +49,7 @@ from typing import Any, Callable, Sequence
 from ..errors import SweepInterrupted
 from .cache import cache_stats, merge_stats
 from .journal import RunJournal, current_journal, spec_key
-from .supervise import BackoffPolicy
+from .supervise import BackoffPolicy, env_number
 
 
 @dataclass(slots=True)
@@ -127,30 +126,8 @@ class SweepOutcome:
 def resolve_jobs(jobs: int | None = None) -> int:
     """The effective worker count: argument > REPRO_BENCH_JOBS > 1."""
     if jobs is None:
-        raw = os.environ.get("REPRO_BENCH_JOBS", "")
-        try:
-            jobs = int(raw) if raw else 1
-        except ValueError:
-            jobs = 1
+        jobs = env_number("REPRO_BENCH_JOBS", 1, int)
     return max(1, jobs)
-
-
-def _env_float(name: str, default: float | None) -> float | None:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
 
 
 def _worker_init() -> None:
@@ -473,16 +450,16 @@ def run_sweep_outcome(
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     journal = journal if journal is not None else current_journal()
-    timeout_s = timeout_s if timeout_s is not None else _env_float(
+    timeout_s = timeout_s if timeout_s is not None else env_number(
         "REPRO_SWEEP_TIMEOUT_S", None
     )
     max_attempts = 1 + (
-        retries if retries is not None else _env_int("REPRO_SWEEP_RETRIES", 2)
+        retries if retries is not None else env_number("REPRO_SWEEP_RETRIES", 2, int)
     )
     backoff = (
         backoff_base_s
         if backoff_base_s is not None
-        else _env_float("REPRO_SWEEP_RETRY_BASE", 0.1)
+        else env_number("REPRO_SWEEP_RETRY_BASE", 0.1)
     )
 
     outcome = SweepOutcome(results=[None] * len(specs))

@@ -65,6 +65,7 @@ from ..errors import (
     SynthesisError,
     WorkerCrashError,
 )
+from ..perf.supervise import env_number
 from .breaker import OPEN, BreakerConfig, CircuitBreaker
 from .brownout import BrownoutConfig, BrownoutController
 from .fleet import FleetConfig, WorkerFleet
@@ -80,20 +81,6 @@ REQUEST_CLASSES = ("interactive", "batch")
 
 #: Backends guarded by circuit breakers.
 BREAKER_BACKENDS = ("ilp", "synthesis", "sim")
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return default
 
 
 @dataclass(slots=True)
@@ -141,32 +128,29 @@ class ServiceConfig:
         base = cls()
         return cls(
             journal_dir=os.environ.get("REPRO_SERVE_JOURNAL_DIR") or None,
-            idempotency_ttl_s=_env_float(
+            idempotency_ttl_s=env_number(
                 "REPRO_SERVE_IDEMPOTENCY_TTL_S", base.idempotency_ttl_s
             ),
-            workers=_env_int("REPRO_SERVE_WORKERS", base.workers),
-            max_queue=_env_int("REPRO_SERVE_MAX_QUEUE", base.max_queue),
-            fleet_workers=_env_int("REPRO_SERVE_FLEET", 0),
+            workers=env_number("REPRO_SERVE_WORKERS", base.workers, int),
+            max_queue=env_number("REPRO_SERVE_MAX_QUEUE", base.max_queue, int),
+            fleet_workers=env_number("REPRO_SERVE_FLEET", 0, int),
             class_limits={
-                "interactive": _env_int(
+                "interactive": env_number(
                     "REPRO_SERVE_INTERACTIVE_LIMIT",
                     base.class_limits["interactive"],
+                    int,
                 ),
-                "batch": _env_int(
-                    "REPRO_SERVE_BATCH_LIMIT", base.class_limits["batch"]
+                "batch": env_number(
+                    "REPRO_SERVE_BATCH_LIMIT", base.class_limits["batch"], int
                 ),
             },
             breaker=BreakerConfig(
-                failure_threshold=_env_int(
-                    "REPRO_SERVE_BREAKER_THRESHOLD", 3
-                ),
-                reset_timeout_s=_env_float(
-                    "REPRO_SERVE_BREAKER_RESET_S", 10.0
-                ),
+                failure_threshold=env_number("REPRO_SERVE_BREAKER_THRESHOLD", 3, int),
+                reset_timeout_s=env_number("REPRO_SERVE_BREAKER_RESET_S", 10.0),
             ),
             quota=QuotaConfig.from_env(),
             brownout=BrownoutConfig.from_env(),
-            aging_threshold_s=_env_float(
+            aging_threshold_s=env_number(
                 "REPRO_SERVE_AGING_S", base.aging_threshold_s
             ),
         )
@@ -817,11 +801,6 @@ class CompileService:
                 pending = self._queue.pop()
                 if pending is None:  # pragma: no cover - defensive
                     continue
-            if self.journal is not None and pending.journal_id is not None:
-                try:
-                    self.journal.record_dispatched(pending.journal_id)
-                except JournalError as exc:
-                    self._note_journal_error(exc)
             cls = (
                 pending.request.priority
                 if pending.request.priority in self._admitted

@@ -41,13 +41,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.ladder import TIERS
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return default
+from ..perf.supervise import env_number
 
 
 def _env_bool(name: str, default: bool) -> bool:
@@ -82,16 +76,16 @@ class BrownoutConfig:
         floor = os.environ.get("REPRO_SERVE_BROWNOUT_FLOOR", base.floor)
         return cls(
             enabled=_env_bool("REPRO_SERVE_BROWNOUT", base.enabled),
-            high_pressure=_env_float(
+            high_pressure=env_number(
                 "REPRO_SERVE_BROWNOUT_HIGH", base.high_pressure
             ),
-            low_pressure=_env_float(
+            low_pressure=env_number(
                 "REPRO_SERVE_BROWNOUT_LOW", base.low_pressure
             ),
-            degrade_after_s=_env_float(
+            degrade_after_s=env_number(
                 "REPRO_SERVE_BROWNOUT_DEGRADE_S", base.degrade_after_s
             ),
-            restore_after_s=_env_float(
+            restore_after_s=env_number(
                 "REPRO_SERVE_BROWNOUT_RESTORE_S", base.restore_after_s
             ),
             floor=floor if floor in TIERS else base.floor,

@@ -95,25 +95,7 @@ from ..errors import (
     WatchdogError,
     WorkerCrashError,
 )
-from ..perf.supervise import BackoffPolicy, RespawnGovernor
-
-
-def _env_float(name: str, default: float | None) -> float | None:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
+from ..perf.supervise import BackoffPolicy, RespawnGovernor, env_number
 
 
 @dataclass(slots=True)
@@ -143,25 +125,25 @@ class FleetConfig:
     def from_env(cls) -> "FleetConfig":
         base = cls()
         return cls(
-            workers=_env_int("REPRO_SERVE_FLEET", base.workers),
-            heartbeat_s=_env_float("REPRO_FLEET_HEARTBEAT_S", base.heartbeat_s),
-            liveness_timeout_s=_env_float(
+            workers=env_number("REPRO_SERVE_FLEET", base.workers, int),
+            heartbeat_s=env_number("REPRO_FLEET_HEARTBEAT_S", base.heartbeat_s),
+            liveness_timeout_s=env_number(
                 "REPRO_FLEET_LIVENESS_S", base.liveness_timeout_s
             ),
-            max_failovers=_env_int(
-                "REPRO_FLEET_MAX_FAILOVERS", base.max_failovers
+            max_failovers=env_number(
+                "REPRO_FLEET_MAX_FAILOVERS", base.max_failovers, int
             ),
-            hedge_after_s=_env_float("REPRO_FLEET_HEDGE_S", None),
-            quarantine_threshold=_env_int(
-                "REPRO_FLEET_QUARANTINE_THRESHOLD", base.quarantine_threshold
+            hedge_after_s=env_number("REPRO_FLEET_HEDGE_S", None),
+            quarantine_threshold=env_number(
+                "REPRO_FLEET_QUARANTINE_THRESHOLD", base.quarantine_threshold, int
             ),
-            quarantine_cooldown_s=_env_float(
+            quarantine_cooldown_s=env_number(
                 "REPRO_FLEET_QUARANTINE_COOLDOWN_S", base.quarantine_cooldown_s
             ),
-            worker_cache_entries=_env_int(
-                "REPRO_FLEET_CACHE_ENTRIES", base.worker_cache_entries
+            worker_cache_entries=env_number(
+                "REPRO_FLEET_CACHE_ENTRIES", base.worker_cache_entries, int
             ),
-            drain_timeout_s=_env_float(
+            drain_timeout_s=env_number(
                 "REPRO_FLEET_DRAIN_TIMEOUT_S", base.drain_timeout_s
             ),
         )
@@ -264,39 +246,25 @@ def decode_error(document: dict[str, Any]) -> TapaCSError:
 # ---------------------------------------------------------------------------
 
 
-def _chaos_int(name: str, default: int = -1) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
-def _chaos_float(name: str) -> float:
-    try:
-        return float(os.environ.get(name, "") or 0.0)
-    except ValueError:
-        return 0.0
-
-
 def _apply_chaos(slot: int, generation: int, jobs_seen: int, state: dict) -> None:
     """Test-only failure injection, inert unless REPRO_CHAOS_FLEET_* set."""
-    if jobs_seen == 1 and _chaos_int("REPRO_CHAOS_FLEET_EXIT_ALWAYS") == 1:
+    if jobs_seen == 1 and env_number("REPRO_CHAOS_FLEET_EXIT_ALWAYS", -1, int) == 1:
         # Every worker (every generation) dies on its first job: the
         # "this request crashes whatever runs it" scenario that must
         # exhaust failovers into WorkerCrashError, not loop forever.
         os._exit(13)
     if generation == 0 and jobs_seen == 1:
-        if _chaos_int("REPRO_CHAOS_FLEET_EXIT_SLOT") == slot:
+        if env_number("REPRO_CHAOS_FLEET_EXIT_SLOT", -1, int) == slot:
             os._exit(13)  # simulated preemption: no goodbye, no cleanup
-        wedge_s = _chaos_float("REPRO_CHAOS_FLEET_WEDGE_S")
-        if wedge_s > 0 and _chaos_int("REPRO_CHAOS_FLEET_WEDGE_SLOT", 0) == slot:
+        wedge_s = env_number("REPRO_CHAOS_FLEET_WEDGE_S", 0.0)
+        if wedge_s > 0 and env_number("REPRO_CHAOS_FLEET_WEDGE_SLOT", 0, int) == slot:
             # A "wedged" worker: the event loop stops heartbeating, as if
             # stuck in native code.  The liveness watchdog must kill us.
             state["wedged"] = True
             time.sleep(wedge_s)
             state["wedged"] = False
-    slow_s = _chaos_float("REPRO_CHAOS_FLEET_SLOW_S")
-    if slow_s > 0 and _chaos_int("REPRO_CHAOS_FLEET_SLOW_SLOT", 0) == slot:
+    slow_s = env_number("REPRO_CHAOS_FLEET_SLOW_S", 0.0)
+    if slow_s > 0 and env_number("REPRO_CHAOS_FLEET_SLOW_SLOT", 0, int) == slot:
         time.sleep(slow_s)  # a straggler: alive and beating, just slow
 
 

@@ -4,24 +4,26 @@ The broker's admission state was memory-only: a ``kill -9`` of the
 serving process (or a deploy) silently discarded every admitted request,
 and a client that retried after an ambiguous failure could pay for the
 same compile twice.  This module closes both gaps with the same
-record/replay discipline as :mod:`repro.perf.journal`:
+record/replay discipline — and the same append-log primitive — as
+:mod:`repro.perf.journal`:
 
 * every **admitted** :class:`~repro.serve.broker.CompileRequest` is
   appended — flushed and fsync'd before the submit is acknowledged — as
   an ``accepted`` record carrying the pickled request, its tenant,
   admission class, deadline budget, and an **idempotency key** (client
   supplied, or derived from the request's content fingerprint);
-* the entry then moves through its lifecycle with follow-up records:
-  ``dispatched`` when a worker picks it up, then exactly one of
-  ``done`` (with the pickled result), ``failed`` (with the typed error
-  name), or ``shed`` (terminated without execution);
+* the entry is then closed by exactly one terminal record: ``done``
+  (with the pickled result), ``failed`` (with the typed error name), or
+  ``shed`` (terminated without execution) — the lifecycle is
+  accepted → done|failed|shed;
 * on boot the broker **replays** the journal: entries with no terminal
   record are re-enqueued with their original tenant/class/deadline, so
   accepted work survives a crash of the serving process;
-* completed entries within ``REPRO_SERVE_IDEMPOTENCY_TTL_S`` feed a
-  **dedup table**: a duplicate idempotency key returns the original
-  result instead of recompiling (``failed`` entries deliberately do
-  *not* dedup — a retry after a failure deserves a fresh attempt);
+* completed entries within ``ttl_s`` (the broker passes
+  ``ServiceConfig.idempotency_ttl_s``) feed a **dedup table**: a
+  duplicate idempotency key returns the original result instead of
+  recompiling (``failed`` entries deliberately do *not* dedup — a retry
+  after a failure deserves a fresh attempt);
 * ``checkpoint`` records snapshot the quota buckets and the brownout
   ceiling (:meth:`QuotaRegistry.export_state` /
   :meth:`BrownoutController.export_state`), throttled to at most one
@@ -42,10 +44,7 @@ bounded across restarts.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import itertools
-import json
 import os
 import pickle
 import threading
@@ -53,6 +52,14 @@ import time
 from typing import Any, Callable
 
 from ..errors import JournalError
+from ..perf.journal import (
+    AppendLog,
+    decode_blob,
+    encode_blob,
+    encode_line,
+    pickle_blob,
+    read_records,
+)
 
 try:
     import fcntl
@@ -67,16 +74,8 @@ SERVE_JOURNAL_SCHEMA = 1
 WAL_NAME = "serve-wal.jsonl"
 
 #: Lifecycle states an entry can be in.
-INCOMPLETE_STATES = ("accepted", "dispatched")
+INCOMPLETE_STATES = ("accepted",)
 TERMINAL_STATES = ("done", "failed", "shed")
-
-
-def default_ttl_s() -> float:
-    """The completed-entry dedup TTL (env-overridable)."""
-    try:
-        return float(os.environ.get("REPRO_SERVE_IDEMPOTENCY_TTL_S", ""))
-    except ValueError:
-        return 3600.0
 
 
 class JournalEntry:
@@ -107,33 +106,6 @@ class JournalEntry:
         self.request_blob: bytes | None = None
         #: Pickled result (present for dedup-able ``done`` entries).
         self.result_blob: bytes | None = None
-
-
-def _encode_blob(value: Any) -> tuple[str, str] | None:
-    """(base64 payload, sha256) for a picklable value, else None."""
-    try:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return None
-    return (
-        base64.b64encode(blob).decode("ascii"),
-        hashlib.sha256(blob).hexdigest(),
-    )
-
-
-def _decode_blob(record: dict) -> bytes | None:
-    """The checksum-verified raw blob of a record, or None when torn."""
-    payload = record.get("payload")
-    digest = record.get("sha256")
-    if not isinstance(payload, str) or not isinstance(digest, str):
-        return None
-    try:
-        blob = base64.b64decode(payload.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError):
-        return None
-    if hashlib.sha256(blob).hexdigest() != digest:
-        return None  # torn or corrupted: treat as never written
-    return blob
 
 
 def disabled_health(path: str | None, error: str | None) -> dict:
@@ -171,18 +143,19 @@ class ServeJournal:
     def __init__(
         self,
         directory: str,
-        ttl_s: float | None = None,
+        ttl_s: float,
         checkpoint_interval_s: float = 1.0,
         lock_timeout_s: float = 5.0,
         clock: Callable[[], float] = time.time,
     ):
         self.directory = directory
         self.path = os.path.join(directory, WAL_NAME)
-        self.ttl_s = default_ttl_s() if ttl_s is None else ttl_s
+        self.ttl_s = ttl_s
         self.checkpoint_interval_s = checkpoint_interval_s
         self._clock = clock
+        #: Guards both the append log and the in-memory view.
         self._lock = threading.Lock()
-        self._handle = None
+        self._log = AppendLog(self.path, self._header)
         self._lockfile = None
         self._closed = False
         #: Monotonic time of the last checkpoint; None (never) is due.
@@ -246,22 +219,8 @@ class ServeJournal:
     # -- reading / recovery ----------------------------------------------------
 
     def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return
         schema_mismatch = False
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn mid-write or scribbled on: skip
-            if not isinstance(record, dict):
-                continue
+        for record in read_records(self.path):
             kind = record.get("kind")
             if kind == "header":
                 if record.get("schema") != SERVE_JOURNAL_SCHEMA:
@@ -269,10 +228,6 @@ class ServeJournal:
                     break
             elif kind == "accepted":
                 self._fold_accepted(record)
-            elif kind == "dispatched":
-                entry = self._entries.get(str(record.get("id")))
-                if entry is not None and entry.status == "accepted":
-                    entry.status = "dispatched"
             elif kind == "done":
                 self._fold_done(record)
             elif kind in ("failed", "shed"):
@@ -315,7 +270,7 @@ class ServeJournal:
             float(deadline_s) if isinstance(deadline_s, (int, float)) else None
         )
         entry.created_unix = float(record.get("created_unix", 0.0))
-        entry.request_blob = _decode_blob(record)
+        entry.request_blob = decode_blob(record)
         self._entries[entry_id] = entry
         if entry.idem is not None:
             self._by_idem[entry.idem] = entry_id
@@ -338,7 +293,7 @@ class ServeJournal:
         entry.status = "done"
         entry.completed_unix = float(record.get("completed_unix", 0.0))
         entry.request_blob = None  # no longer needed for replay
-        entry.result_blob = _decode_blob(record)
+        entry.result_blob = decode_blob(record)
         if entry.result_blob is None and entry.idem is not None:
             # Completed, but the result cannot be replayed: the entry is
             # closed (no re-execution) yet cannot serve dedup hits.
@@ -434,20 +389,20 @@ class ServeJournal:
     def new_entry_id(self) -> str:
         return f"{os.getpid()}-{next(self._ids)}-{os.urandom(4).hex()}"
 
+    def _header(self) -> dict:
+        return {
+            "kind": "header",
+            "schema": SERVE_JOURNAL_SCHEMA,
+            "created_unix": self._clock(),
+        }
+
     def _append(self, record: dict) -> None:
         start = time.monotonic()
         with self._lock:
             try:
                 if self._closed:
                     raise OSError("journal is closed")
-                if self._handle is None:
-                    self._open_for_append()
-                line = json.dumps(
-                    record, sort_keys=True, separators=(",", ":")
-                )
-                self._handle.write(line + "\n")
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
+                self._log.append(record)
             except OSError as exc:
                 self.counters["append_failures"] += 1
                 raise JournalError(
@@ -455,33 +410,6 @@ class ServeJournal:
                 ) from exc
             self.counters["appends"] += 1
             self.counters["append_wall_s"] += time.monotonic() - start
-
-    def _open_for_append(self) -> None:
-        # Called with the lock held.
-        is_new = not os.path.exists(self.path)
-        torn = False
-        if not is_new:
-            # A crash can leave a torn final line with no newline;
-            # terminate it so the next record starts on its own line.
-            with open(self.path, "rb") as existing:
-                existing.seek(0, os.SEEK_END)
-                if existing.tell() > 0:
-                    existing.seek(-1, os.SEEK_END)
-                    torn = existing.read(1) != b"\n"
-        self._handle = open(self.path, "a", encoding="utf-8")
-        if torn:
-            self._handle.write("\n")
-        if is_new:
-            header = json.dumps(
-                {
-                    "kind": "header",
-                    "schema": SERVE_JOURNAL_SCHEMA,
-                    "created_unix": self._clock(),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            self._handle.write(header + "\n")
 
     def record_accepted(
         self,
@@ -496,10 +424,9 @@ class ServeJournal:
     ) -> bool:
         """Journal one admitted request; False when it will not pickle
         (the request simply stays non-durable, never an error)."""
-        encoded = _encode_blob(request)
-        if encoded is None:
+        blob = pickle_blob(request)
+        if blob is None:
             return False
-        payload, digest = encoded
         now = self._clock()
         self._append(
             {
@@ -511,9 +438,8 @@ class ServeJournal:
                 "tenant": tenant,
                 "class": cls,
                 "deadline_s": deadline_s,
-                "payload": payload,
-                "sha256": digest,
                 "created_unix": now,
+                **encode_blob(blob),
             }
         )
         with self._lock:
@@ -531,13 +457,6 @@ class ServeJournal:
                     self._by_idem[idem] = entry_id
         return True
 
-    def record_dispatched(self, entry_id: str) -> None:
-        self._append({"kind": "dispatched", "id": entry_id})
-        with self._lock:
-            entry = self._entries.get(entry_id)
-            if entry is not None and entry.status == "accepted":
-                entry.status = "dispatched"
-
     def record_done(
         self,
         entry_id: str,
@@ -553,7 +472,7 @@ class ServeJournal:
         the entry (no replay, no duplicate compile) — it just cannot
         serve dedup hits; returns False in that case.
         """
-        encoded = _encode_blob(value)
+        blob = pickle_blob(value)
         now = self._clock()
         with self._lock:
             entry = self._entries.get(entry_id)
@@ -568,8 +487,8 @@ class ServeJournal:
             "created_unix": entry.created_unix if entry else now,
             "completed_unix": now,
         }
-        if encoded is not None:
-            record["payload"], record["sha256"] = encoded
+        if blob is not None:
+            record.update(encode_blob(blob))
         self._append(record)
         with self._lock:
             entry = self._entries.get(entry_id)
@@ -582,14 +501,14 @@ class ServeJournal:
             entry.status = "done"
             entry.completed_unix = now
             entry.request_blob = None
-            if encoded is not None:
-                entry.result_blob = base64.b64decode(encoded[0])
+            if blob is not None:
+                entry.result_blob = blob
             if idem is not None:
-                if encoded is not None:
+                if blob is not None:
                     self._by_idem[idem] = entry_id
                 else:
                     self._by_idem.pop(idem, None)
-        return encoded is not None
+        return blob is not None
 
     def record_failed(self, entry_id: str, error_type: str, error: str) -> None:
         """Close an entry as failed.  Failed entries never dedup: a
@@ -661,46 +580,29 @@ class ServeJournal:
         try:
             with open(temp_path, "w", encoding="utf-8") as handle:
                 def write(record: dict) -> None:
-                    handle.write(
-                        json.dumps(
-                            record, sort_keys=True, separators=(",", ":")
-                        )
-                        + "\n"
-                    )
+                    handle.write(encode_line(record) + "\n")
 
-                write(
-                    {
-                        "kind": "header",
-                        "schema": SERVE_JOURNAL_SCHEMA,
-                        "created_unix": self._clock(),
-                    }
-                )
+                write(self._header())
                 if self._checkpoint_state is not None:
                     write(self._checkpoint_state)
                 for entry in self._entries.values():
                     if entry.status in INCOMPLETE_STATES:
                         if entry.request_blob is None:
                             continue
-                        record = {
-                            "kind": "accepted",
-                            "id": entry.id,
-                            "idem": entry.idem,
-                            "derived": entry.derived,
-                            "fp": entry.fp,
-                            "tenant": entry.tenant,
-                            "class": entry.cls,
-                            "deadline_s": entry.deadline_s,
-                            "payload": base64.b64encode(
-                                entry.request_blob
-                            ).decode("ascii"),
-                            "sha256": hashlib.sha256(
-                                entry.request_blob
-                            ).hexdigest(),
-                            "created_unix": entry.created_unix,
-                        }
-                        write(record)
-                        if entry.status == "dispatched":
-                            write({"kind": "dispatched", "id": entry.id})
+                        write(
+                            {
+                                "kind": "accepted",
+                                "id": entry.id,
+                                "idem": entry.idem,
+                                "derived": entry.derived,
+                                "fp": entry.fp,
+                                "tenant": entry.tenant,
+                                "class": entry.cls,
+                                "deadline_s": entry.deadline_s,
+                                "created_unix": entry.created_unix,
+                                **encode_blob(entry.request_blob),
+                            }
+                        )
                     elif entry.status == "done":
                         record = {
                             "kind": "done",
@@ -711,12 +613,7 @@ class ServeJournal:
                             "completed_unix": entry.completed_unix,
                         }
                         if entry.result_blob is not None:
-                            record["payload"] = base64.b64encode(
-                                entry.result_blob
-                            ).decode("ascii")
-                            record["sha256"] = hashlib.sha256(
-                                entry.result_blob
-                            ).hexdigest()
+                            record.update(encode_blob(entry.result_blob))
                         write(record)
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -756,11 +653,7 @@ class ServeJournal:
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                finally:
-                    self._handle = None
+            self._log.close()
             if self._lockfile is not None:
                 try:
                     if fcntl is not None:

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import QuotaExceededError
+from ..perf.supervise import env_number
 
 #: The tenant of requests that never named one (the CLI default, bare
 #: HTTP bodies, library callers).  Deliberately a real tenant — the
@@ -56,13 +57,6 @@ DEFAULT_TENANT = "anonymous"
 
 #: Ceiling on any retry-after hint this module produces.
 MAX_RETRY_AFTER_S = 60.0
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return default
 
 
 @dataclass(slots=True)
@@ -101,10 +95,10 @@ class QuotaConfig:
         a forward-compatible config does not crash an old server.
         """
         default = TenantLimits(
-            rate=_env_float("REPRO_SERVE_TENANT_RATE", 0.0),
-            burst=_env_float("REPRO_SERVE_TENANT_BURST", 1.0),
-            retry_rate=_env_float("REPRO_SERVE_RETRY_RATE", 0.0),
-            retry_burst=_env_float("REPRO_SERVE_RETRY_BUDGET", 10.0),
+            rate=env_number("REPRO_SERVE_TENANT_RATE", 0.0),
+            burst=env_number("REPRO_SERVE_TENANT_BURST", 1.0),
+            retry_rate=env_number("REPRO_SERVE_RETRY_RATE", 0.0),
+            retry_burst=env_number("REPRO_SERVE_RETRY_BUDGET", 10.0),
         )
         overrides: dict[str, TenantLimits] = {}
         raw = os.environ.get("REPRO_SERVE_QUOTAS", "")
@@ -132,7 +126,7 @@ class QuotaConfig:
         return cls(
             default=default,
             overrides=overrides,
-            tenant_idle_s=_env_float("REPRO_SERVE_TENANT_IDLE_S", 3600.0),
+            tenant_idle_s=env_number("REPRO_SERVE_TENANT_IDLE_S", 3600.0),
         )
 
     def limits_for(self, tenant: str) -> TenantLimits:

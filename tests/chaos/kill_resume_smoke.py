@@ -3,7 +3,8 @@
 
 1. Run ``repro bench sweep_smoke`` uninterrupted → reference rows.
 2. Start the same bench with a journal, SIGKILL it once at least one
-   sweep point is journaled.
+   sweep point is journaled, then kill its process group so the sweep's
+   pool workers do not outlive it.
 3. Rerun with ``--resume`` against a *cold* cache, so any skipped work
    can only have come from the journal.
 4. Require the resumed table to equal the reference byte for byte.
@@ -83,11 +84,14 @@ def main() -> int:
     reference = read_rows(base, "json-ref")
     print(f"reference rows: {len(reference[1])}")
 
-    # 2. Journaled run, SIGKILLed once >= 1 point is on disk.
+    # 2. Journaled run, SIGKILLed once >= 1 point is on disk.  Its own
+    # session makes it a process-group leader, so the pool workers it
+    # forks can be reaped with it.
     victim = subprocess.Popen(
         bench_cmd(base, "json-victim", journal=True),
         env=bench_env(base, "cache-victim"),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     deadline = time.monotonic() + 300
     while victim.poll() is None and time.monotonic() < deadline:
@@ -98,6 +102,11 @@ def main() -> int:
     if victim.poll() is None and journal_points(base) < 1:
         victim.send_signal(signal.SIGKILL)  # wedged with nothing journaled
     victim.wait(timeout=60)
+    try:
+        # SIGKILL leaves the sweep's pool workers orphaned: reap them.
+        os.killpg(victim.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
     survived = journal_points(base)
     if victim.returncode == -signal.SIGKILL:
         print(f"killed mid-run with {survived} point(s) journaled")

@@ -25,7 +25,7 @@ from repro.errors import (
     TapaCSError,
     WorkerCrashError,
 )
-from repro.perf.supervise import BackoffPolicy, RespawnGovernor
+from repro.perf.supervise import BackoffPolicy, RespawnGovernor, env_number
 from repro.serve.broker import CompileRequest
 from repro.serve.fleet import (
     FleetConfig,
@@ -106,6 +106,28 @@ class TestRespawnGovernor:
         assert governor.consecutive_crashes == 0
         assert governor.may_respawn()
         assert governor.total_crashes == 2  # history survives for health()
+
+
+@pytest.mark.parametrize(
+    "raw, default, kind, expected",
+    [
+        ("", 7, int, 7),
+        ("lots", 7, int, 7),
+        ("2.5", 7, int, 7),
+        ("12", 7, int, 12),
+        ("", None, float, None),
+        ("soon", None, float, None),
+        ("", 0.25, float, 0.25),
+        ("fast", 0.25, float, 0.25),
+        ("1.5", None, float, 1.5),
+    ],
+)
+def test_env_number(monkeypatch, raw, default, kind, expected):
+    """Every REPRO_* numeric knob: empty or malformed falls back to the
+    default (None included), valid input parses with ``kind``."""
+    monkeypatch.setenv("REPRO_TEST_KNOB", raw)
+    value = env_number("REPRO_TEST_KNOB", default, kind)
+    assert value == expected and type(value) is type(expected)
 
 
 class TestErrorTransport:

@@ -3,20 +3,23 @@
 Three layers under test:
 
 * :class:`repro.serve.journal.ServeJournal` alone — the lifecycle fold
-  (accepted → dispatched → done|failed|shed), tolerant reads over torn
-  files, TTL'd dedup, checkpoints, boot compaction, and the flock that
-  keeps two brokers off one directory;
+  (accepted → done|failed|shed), tolerant reads over torn files, TTL'd
+  dedup, checkpoints, boot compaction, and the flock that keeps two
+  brokers off one directory;
 * the broker integration — a submit is fsync'd before it is
-  acknowledged, duplicate idempotency keys dedup against the journal or
-  join the in-flight leader, key reuse with different content is a typed
-  conflict;
+  acknowledged, a keyless request costs two appends (accepted, done),
+  duplicate idempotency keys dedup against the journal or join the
+  in-flight leader, key reuse with different content is a typed conflict;
 * crash recovery — a service that dies with admitted work re-enqueues it
   on the next boot with the original tenant/class/deadline, exactly
   once, and the checkpointed quota state still sheds a pre-crash abuser
   immediately.
 """
 
+import base64
+import hashlib
 import json
+import pickle
 import threading
 
 import pytest
@@ -28,7 +31,7 @@ from repro.errors import (
     QuotaExceededError,
 )
 from repro.serve.broker import CompileRequest, CompileService, ServiceConfig
-from repro.serve.journal import ServeJournal
+from repro.serve.journal import WAL_NAME, ServeJournal
 from repro.serve.quota import QuotaConfig, TenantLimits
 
 from tests.conftest import build_chain, build_diamond
@@ -73,7 +76,6 @@ class TestJournalLifecycle:
             entry_id, {"req": 1}, idem="key-1", derived=False,
             fp="fp-1", tenant="acme", cls="batch", deadline_s=5.0,
         )
-        journal.record_dispatched(entry_id)
         assert journal.record_done(entry_id, {"answer": 42})
         journal.close()
 
@@ -90,7 +92,6 @@ class TestJournalLifecycle:
             entry_id, {"req": "payload"}, idem="key-2", derived=False,
             fp=None, tenant="acme", cls="interactive", deadline_s=7.5,
         )
-        journal.record_dispatched(entry_id)  # dispatched is not terminal
         journal.close()
 
         reopened = ServeJournal(str(tmp_path), ttl_s=3600)
@@ -102,6 +103,44 @@ class TestJournalLifecycle:
         assert entry.deadline_s == 7.5
         assert entry.idem == "key-2"
         reopened.close()
+
+    def test_older_wal_with_dispatched_records_still_replays(self, tmp_path):
+        """A WAL from before the ``dispatched`` record was retired loads
+        to the same replay set; boot compaction drops the old line."""
+        blob = pickle.dumps({"req": "old"}, protocol=pickle.HIGHEST_PROTOCOL)
+        records = [
+            {"kind": "header", "schema": 1, "created_unix": 1.0},
+            {
+                "kind": "accepted", "id": "old-1", "idem": "key-old",
+                "derived": False, "fp": None, "tenant": "acme",
+                "class": "interactive", "deadline_s": 7.5,
+                "created_unix": 2.0,
+                "payload": base64.b64encode(blob).decode("ascii"),
+                "sha256": hashlib.sha256(blob).hexdigest(),
+            },
+            {"kind": "dispatched", "id": "old-1"},
+        ]
+        path = tmp_path / WAL_NAME
+        path.write_text(
+            "".join(json.dumps(record) + "\n" for record in records),
+            encoding="utf-8",
+        )
+
+        journal = ServeJournal(str(tmp_path), ttl_s=3600)
+        try:
+            assert journal.counters["incomplete_at_boot"] == 1
+            [(entry, request)] = journal.take_incomplete()
+            assert request == {"req": "old"}
+            assert entry.tenant == "acme"
+            assert entry.cls == "interactive"
+            assert entry.deadline_s == 7.5
+            kinds = [
+                json.loads(line)["kind"]
+                for line in path.read_text(encoding="utf-8").splitlines()
+            ]
+            assert kinds == ["header", "accepted"]
+        finally:
+            journal.close()
 
     def test_failed_entries_never_dedup(self, tmp_path):
         """A retry after a failure deserves a fresh attempt."""
@@ -371,6 +410,22 @@ class TestBrokerIdempotency:
             raw = open(service.journal.path, encoding="utf-8").read()
             assert pending.journal_id in raw
             pending.result(timeout=30.0)
+        finally:
+            service.shutdown(wait=False)
+
+    def test_keyless_request_costs_two_appends(self, tmp_path, fresh_cache):
+        """One ``accepted`` and one ``done`` record on the request path,
+        beyond the throttled quota/brownout checkpoints."""
+        service = _service(tmp_path / "journal")
+
+        def request_appends() -> int:
+            doc = service.health()["journal"]
+            return doc["appends"] - doc["checkpoints"]
+
+        try:
+            before = request_appends()
+            assert service.execute(_request()) is not None
+            assert request_appends() - before == 2
         finally:
             service.shutdown(wait=False)
 
