@@ -650,6 +650,124 @@ def ablation_partitioner() -> Rows:
     return headers, rows
 
 
+def _refine_fits(graph, part, threshold: float) -> bool:
+    from ..core.intra_floorplan import IntraFloorplanConfig, floorplan_intra
+    from ..errors import InfeasibleError
+
+    try:
+        floorplan_intra(graph, part, config=IntraFloorplanConfig(threshold=threshold))
+    except InfeasibleError:
+        return False
+    return True
+
+
+def paper_app_devices():
+    """Each device of the four paper apps compiled at F1-T/F2/F4 (the
+    benchmark's cold-compile cases), as ``(label, subgraph, part,
+    threshold)``: the subgraph the intra-FPGA floorplanner is handed and
+    the slot threshold the default compile placed it at (the first of
+    the compiler's thresholds the default placer fits)."""
+    from ..cluster.cluster import make_cluster
+    from ..core.compiler import device_slot_threshold
+    from ..core.intra_floorplan import relaxed_thresholds
+    from ..serve.server import build_app_graph
+
+    devices = []
+    for app in ("stencil", "pagerank", "knn", "cnn"):
+        for fpgas in (1, 2, 4):
+            cluster = make_cluster(1) if fpgas == 1 else paper_testbed(fpgas)
+            design = compile_design(
+                build_app_graph(app), cluster, flow="tapa" if fpgas == 1 else "tapa-cs"
+            )
+            for device in sorted(design.intra):
+                names = [n for n, d in design.comm.assignment.items() if d == device]
+                local = design.graph.subgraph(names)
+                part = cluster.device(device).part
+                thresholds = relaxed_thresholds(device_slot_threshold(local, part))
+                threshold = next(t for t in thresholds if _refine_fits(local, part, t))
+                label = f"{app} F{fpgas}{'-T' if fpgas == 1 else ''} d{device}"
+                devices.append((label, local, part, threshold))
+    return devices
+
+
+#: Columns of both intra-placer tables, one row per device and method.
+_INTRA_PLACER_HEADERS = ("Device", "Tasks", "Method", "Objective", "Wirelength",
+                        "HBM row dist", "ILP status", "wall_s")
+
+
+def _intra_placer_rows(methods_for) -> list[list[Any]]:
+    """Run ``methods_for(subgraph, part)`` placers on every paper-app
+    device and score each plan on the direct ILP's objective."""
+    from ..core.intra_floorplan import (
+        IntraFloorplanConfig,
+        floorplan_intra,
+        hbm_row_distance,
+        placement_objective,
+    )
+    from ..errors import InfeasibleError
+    from ..ilp.solver import drain_solve_log
+
+    rows = []
+    for label, local, part, threshold in paper_app_devices():
+        for method in methods_for(local, part):
+            drain_solve_log()
+            start = time.perf_counter()
+            try:
+                plan = floorplan_intra(
+                    local, part,
+                    config=IntraFloorplanConfig(method=method, threshold=threshold),
+                )
+            except InfeasibleError:
+                rows.append([label, local.num_tasks, method, "infeasible", "-", "-",
+                             "-", round(time.perf_counter() - start, 3)])
+                continue
+            wall = time.perf_counter() - start
+            statuses = sorted({status.value for *_, status in drain_solve_log()})
+            rows.append([
+                label,
+                local.num_tasks,
+                method,
+                placement_objective(local, part, plan.placement),
+                plan.wirelength,
+                hbm_row_distance(local, part, plan.placement),
+                "/".join(statuses) or "-",
+                round(wall, 3),
+            ])
+    return rows
+
+
+def ablation_intra_placer() -> Rows:
+    """The solver-free intra-FPGA placers on every paper-app device:
+    ``refine`` (the default) and ``greedy`` (its first seed), scored on
+    the direct ILP's objective (Eq. 4 wirelength + HBM affinity).
+
+    Both are pure functions of the device subgraph, so this table is
+    gated; :func:`ablation_intra_placer_ilp` holds the ILP methods.
+    """
+    return _INTRA_PLACER_HEADERS, _intra_placer_rows(lambda graph, part: ("refine", "greedy"))
+
+
+def ablation_intra_placer_ilp(quick: bool | None = None) -> Rows:
+    """The ILP-based intra-FPGA placers on the same devices as
+    :func:`ablation_intra_placer`: the paper's recursive two-way
+    ``bisect`` and the direct ``ilp``.
+
+    Their plans move with the hash seed (device subgraphs iterate a set,
+    so the model's variable order does) and, for the direct ILP on large
+    devices, with its wall-clock limit, so this table is reported but
+    not gated.  Quick mode runs ``ilp`` only where tasks x slots <= 120,
+    so it never waits on that limit.
+    """
+    quick = is_quick() if quick is None else quick
+
+    def methods(graph, part):
+        if not quick or graph.num_tasks * part.num_slots <= 120:
+            return ("bisect", "ilp")
+        return ("bisect",)
+
+    return _INTRA_PLACER_HEADERS, _intra_placer_rows(methods)
+
+
 def ablation_pipelining() -> Rows:
     """Interconnect pipelining on/off: Fmax and latency effect."""
     headers = ("Pipelining", "Fmax (MHz)", "Latency (ms)")

@@ -57,6 +57,7 @@ from .intra_floorplan import (
     IntraFloorplan,
     IntraFloorplanConfig,
     floorplan_intra,
+    relaxed_thresholds,
 )
 from .ladder import (
     TIERS,
@@ -138,6 +139,19 @@ def _reserved_cluster(cluster: Cluster, config: CompilerConfig) -> Cluster:
         intra_node_link=cluster.intra_node_link,
         inter_node_link=cluster.inter_node_link,
     )
+
+
+def device_slot_threshold(local: TaskGraph, part: FPGAPart) -> float:
+    """The intra-FPGA slot threshold for one device's tasks.
+
+    It tracks how full the device actually is: a lightly-used device
+    spreads (a min-wirelength placer would otherwise pack one slot to the
+    global ceiling and pay the congestion penalty for nothing), while a
+    full device gets bin-packing headroom above the global threshold.
+    Hot slots are charged by the timing model, not rejected.
+    """
+    device_util = local.total_resources().max_utilization(part.resources)
+    return min(0.95, max(0.35, device_util + 0.15))
 
 
 def _worst_unpipelined_crossings(
@@ -348,24 +362,12 @@ def compile_design(
                     if not active.enable_intra_floorplan:
                         intra_config = replace(intra_config, method="naive")
                     else:
-                        # The slot threshold tracks how full the device
-                        # actually is: a lightly-used device spreads (a
-                        # min-wirelength ILP would otherwise pack one slot
-                        # to the global ceiling and pay the congestion
-                        # penalty for nothing), while a full device gets
-                        # bin-packing headroom above the global threshold.
-                        # Hot slots are charged by the timing model, not
-                        # rejected.
-                        device_util = local.total_resources().max_utilization(
-                            part.resources
+                        intra_config = replace(
+                            intra_config, threshold=device_slot_threshold(local, part)
                         )
-                        adaptive = min(0.95, max(0.35, device_util + 0.15))
-                        intra_config = replace(intra_config, threshold=adaptive)
                     plan = None
                     last_error: InfeasibleError | None = None
-                    for attempt_threshold in (intra_config.threshold, 0.95, 1.0):
-                        if attempt_threshold < intra_config.threshold:
-                            continue
+                    for attempt_threshold in relaxed_thresholds(intra_config.threshold):
                         try:
                             plan = floorplan_intra(
                                 local,
@@ -475,7 +477,7 @@ def compile_design(
     # Solver accounting: which ILP backend actually produced each solve.
     # ``ilp_<backend>`` accumulates solve time per winning backend and
     # ``ilp_fallbacks`` counts scipy failures rescued by branch-and-bound.
-    for solver_backend, solve_secs, fell_back in drain_solve_log():
+    for solver_backend, solve_secs, fell_back, _status in drain_solve_log():
         key = f"ilp_{solver_backend}"
         stage_seconds[key] = stage_seconds.get(key, 0.0) + solve_secs
         if fell_back:

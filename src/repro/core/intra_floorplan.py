@@ -13,10 +13,22 @@ affinity (strong but not a hard pin: the paper's binding explorer trades
 bottom-die congestion against HBM proximity, which is exactly what a soft
 cost expresses).
 
-Two methods: the direct assignment ILP — the Manhattan distance is linear
-in the assignment binaries, so it needs only two auxiliary continuous
-variables per edge — and the paper's recursive two-way scheme, which
-splits the slot grid along its longest axis until single slots remain.
+Methods:
+
+* ``"refine"`` (the default, ``"auto"``) — greedy seeds refined by
+  Fiduccia-Mattheyses single-task moves and pairwise swaps over slot
+  boundaries, on exactly the direct ILP's objective.  No solver, and
+  deterministic: a plan is a pure function of the device's subgraph.
+* ``"bisect"`` — the paper's recursive two-way scheme, which splits the
+  slot grid along its longest axis until single slots remain; each split
+  is a small ILP.
+* ``"ilp"`` — the direct assignment ILP.  The Manhattan distance is
+  linear in the assignment binaries, so it needs only two auxiliary
+  continuous variables per edge; it is wall-limited on large devices.
+* ``"greedy"`` — the refinement's first seed alone, relaxing the
+  threshold if it must (the deadline ladder's ILP-free tier).
+* ``"naive"`` — area-driven packing blind to connectivity, modelling a
+  placer with no floorplan guidance.
 """
 
 from __future__ import annotations
@@ -25,16 +37,15 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..deadline import current_deadline
 from ..devices.fpga import FPGAPart, Slot
 from ..errors import FloorplanError, InfeasibleError
 from ..graph.graph import TaskGraph
 from ..hls.resource import RESOURCE_KINDS, ResourceVector, total_resources
 from ..ilp import Model, solve, sum_expr
 from .bipartition import BipartitionSpec, bipartition
-
-#: Above this many task*slot products, "auto" switches to the paper's
-#: recursive two-way scheme, which scales far better on symmetric designs.
-AUTO_ILP_CUTOFF = 120
 
 #: Soft cost (in Eq. 4 width units) pulling each HBM port toward the HBM row.
 HBM_AFFINITY_WEIGHT = 256.0
@@ -45,7 +56,7 @@ class IntraFloorplanConfig:
     """Knobs for the intra-FPGA floorplanner."""
 
     threshold: float = 0.7
-    method: str = "auto"  # "auto" | "ilp" | "bisect" | "greedy" | "naive"
+    method: str = "auto"  # "auto" (= "refine") | "refine" | "bisect" | "ilp" | "greedy" | "naive"
     backend: str = "scipy"
     time_limit: float | None = 15.0
     hbm_affinity: float = HBM_AFFINITY_WEIGHT
@@ -101,6 +112,37 @@ def _wirelength(graph: TaskGraph, placement: dict[str, Slot]) -> float:
                 placement[chan.dst]
             )
     return total
+
+
+def relaxed_thresholds(threshold: float) -> list[float]:
+    """``threshold``, then 0.95 and 1.0 (full slots) where above it: the
+    slot thresholds tried in turn when a device's tasks do not pack."""
+    return [threshold] + [t for t in (0.95, 1.0) if t > threshold]
+
+
+def hbm_row_distance(
+    graph: TaskGraph, part: FPGAPart, placement: dict[str, Slot]
+) -> int:
+    """HBM ports times rows between each port's task and the HBM row:
+    what the soft affinity charges ``hbm_affinity`` per unit of."""
+    return sum(
+        len(task.hbm_ports) * abs(placement[task.name].row - part.hbm_row)
+        for task in graph.tasks()
+        if task.uses_hbm
+    )
+
+
+def placement_objective(
+    graph: TaskGraph,
+    part: FPGAPart,
+    placement: dict[str, Slot],
+    hbm_affinity: float = HBM_AFFINITY_WEIGHT,
+) -> float:
+    """The cost every placer here minimizes (the direct ILP's objective):
+    Eq. 4 wirelength plus ``hbm_affinity`` per HBM port per row away."""
+    return _wirelength(graph, placement) + hbm_affinity * hbm_row_distance(
+        graph, part, placement
+    )
 
 
 def _per_slot_usage(
@@ -338,99 +380,280 @@ def _floorplan_naive(
 
 
 # ---------------------------------------------------------------------------
-# Greedy placement (deadline-ladder fallback: ILP-free but threshold-aware)
+# Greedy seeds and Fiduccia-Mattheyses refinement (no ILP)
 # ---------------------------------------------------------------------------
+
+#: Cost changes smaller than this are rounding noise, not improvements.
+_GAIN_EPS = 1e-9
+
+
+class _SlotProblem:
+    """One device's placement problem as arrays, scored exactly as
+    :func:`_floorplan_ilp` scores it: Eq. 4 plus the HBM affinity term.
+
+    Tasks are indexed in sorted name order and slots in the part's
+    row-major order, and every choice breaks ties toward the lower
+    index, so a placement never depends on set or dict iteration order
+    (and so not on ``PYTHONHASHSEED``).  A placement is an array
+    ``slot_of`` of slot indices, one per task.
+    """
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        part: FPGAPart,
+        config: IntraFloorplanConfig,
+        threshold: float,
+    ):
+        self.names = sorted(graph.task_names())
+        index = {name: i for i, name in enumerate(self.names)}
+        self.slots = part.slots()
+        rows = np.array([s.row for s in self.slots], dtype=float)
+        cols = np.array([s.col for s in self.slots], dtype=float)
+        self.dist = np.abs(rows[:, None] - rows) + np.abs(cols[:, None] - cols)
+        n = len(self.names)
+        #: Summed channel width between each task pair (Eq. 4 weights),
+        #: and each task's channels as (width, neighbor) for BFS orders.
+        self.width = np.zeros((n, n))
+        self.channels: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+        for chan in graph.channels():
+            if chan.src == chan.dst:
+                continue
+            i, j = index[chan.src], index[chan.dst]
+            self.width[i, j] += chan.width_bits
+            self.width[j, i] += chan.width_bits
+            self.channels[i].append((float(chan.width_bits), j))
+            self.channels[j].append((float(chan.width_bits), i))
+        #: Each task's neighbors: the only rows of a cost table its move changes.
+        self.neighbors = [np.flatnonzero(row) for row in self.width]
+        tasks = [graph.task(name) for name in self.names]
+        self.hbm_ports = np.array(
+            [len(t.hbm_ports) if t.uses_hbm else 0 for t in tasks], dtype=float
+        )
+        self.hbm_cost = np.outer(
+            config.hbm_affinity * self.hbm_ports, np.abs(rows - part.hbm_row)
+        )
+        self.need = np.array([t.require_resources().as_tuple() for t in tasks])
+        self.capacity = np.array(part.slot_capacity.as_tuple())
+        self.limit = threshold * self.capacity + 1e-9
+
+    # -- seeds ----------------------------------------------------------------
+
+    def bfs_order(self) -> list[int]:
+        """BFS over the channels from the largest task (by LUTs), widest
+        channels first, so neighbors are placed one after another."""
+        order: list[int] = []
+        seen = [False] * len(self.names)
+        lut = self.need[:, 0]
+        for seed in sorted(range(len(self.names)), key=lambda i: (-lut[i], i)):
+            if seen[seed]:
+                continue
+            seen[seed] = True
+            frontier = deque([seed])
+            while frontier:
+                i = frontier.popleft()
+                order.append(i)
+                for _width, j in sorted(self.channels[i], key=lambda p: (-p[0], p[1])):
+                    if not seen[j]:
+                        seen[j] = True
+                        frontier.append(j)
+        return order
+
+    def seed_orders(self) -> list[list[int]]:
+        """The refinement's greedy seeds: BFS from the largest task, the
+        same with HBM tasks first, and largest binding resource first."""
+        bfs = self.bfs_order()
+        hbm_first = [i for i in bfs if self.hbm_ports[i]] + [
+            i for i in bfs if not self.hbm_ports[i]
+        ]
+        share = (self.need / np.where(self.capacity > 0, self.capacity, np.inf)).max(axis=1)
+        largest = sorted(range(len(self.names)), key=lambda i: (-share[i], i))
+        return [bfs, hbm_first, largest]
+
+    def greedy(self, order: list[int]) -> np.ndarray | None:
+        """Place the tasks one by one in ``order``, each into the slot
+        under the threshold where it pays least toward its placed
+        neighbors and the HBM row; None when some task fits nowhere."""
+        slot_of = np.full(len(self.names), -1)
+        usage = np.zeros((len(self.slots), len(RESOURCE_KINDS)))
+        cost = self.hbm_cost.copy()
+        for i in order:
+            fits = (usage + self.need[i] <= self.limit).all(axis=1)
+            if not fits.any():
+                return None
+            s = int(np.argmin(np.where(fits, cost[i], np.inf)))
+            slot_of[i] = s
+            usage[s] += self.need[i]
+            nbrs = self.neighbors[i]
+            cost[nbrs] += np.outer(self.width[nbrs, i], self.dist[s])
+        return slot_of
+
+    # -- scoring --------------------------------------------------------------
+
+    def objective(self, slot_of: np.ndarray) -> float:
+        wires = 0.5 * float((self.width * self.dist[slot_of][:, slot_of]).sum())
+        return wires + float(self.hbm_cost[np.arange(len(slot_of)), slot_of].sum())
+
+    def placement(self, slot_of: np.ndarray) -> dict[str, Slot]:
+        return {name: self.slots[s] for name, s in zip(self.names, slot_of)}
+
+
+class _Refinement:
+    """Move-based improvement of one seed placement under the threshold.
+
+    ``cost[i, s]`` is what task ``i`` would pay at slot ``s`` with every
+    other task where it is now, so a move's gain is one subtraction,
+    and a move updates only its neighbors' rows of ``cost``.
+    """
+
+    def __init__(self, problem: _SlotProblem, slot_of: np.ndarray):
+        self.problem = problem
+        self.slot_of = slot_of.copy()
+        self.usage = np.zeros((len(problem.slots), len(RESOURCE_KINDS)))
+        np.add.at(self.usage, self.slot_of, problem.need)
+        self.cost = problem.hbm_cost + problem.width @ problem.dist[self.slot_of]
+
+    def move(self, i: int, s: int) -> None:
+        p = self.problem
+        a = self.slot_of[i]
+        self.slot_of[i] = s
+        self.usage[a] -= p.need[i]
+        self.usage[s] += p.need[i]
+        nbrs = p.neighbors[i]
+        self.cost[nbrs] += np.outer(p.width[nbrs, i], p.dist[s] - p.dist[a])
+
+    def _fits(self, s: int) -> np.ndarray:
+        """Which tasks could join slot ``s`` under the threshold."""
+        return (self.usage[s] + self.problem.need <= self.problem.limit).all(axis=1)
+
+    def fm_pass(self) -> float:
+        """One Fiduccia-Mattheyses pass: repeatedly make the best single
+        move of an unlocked task to a slot it fits in (even an uphill
+        one), lock the task, then undo the moves after the best prefix.
+        Returns the change in cost kept (zero or negative)."""
+        n, slots = len(self.slot_of), len(self.problem.slots)
+        tasks = np.arange(n)
+        fits = np.stack([self._fits(s) for s in range(slots)], axis=1)
+        locked = np.zeros(n, dtype=bool)
+        moves: list[tuple[int, int]] = []
+        total = best = 0.0
+        keep = 0
+        for _ in range(n):
+            allowed = fits & ~locked[:, None]
+            allowed[tasks, self.slot_of] = False
+            if not allowed.any():
+                break
+            delta = self.cost - self.cost[tasks, self.slot_of][:, None]
+            delta[~allowed] = np.inf
+            i, s = divmod(int(np.argmin(delta)), slots)
+            total += delta[i, s]
+            a = int(self.slot_of[i])
+            moves.append((i, a))
+            self.move(i, s)
+            locked[i] = True
+            fits[:, a] = self._fits(a)
+            fits[:, s] = self._fits(s)
+            if total < best - _GAIN_EPS:
+                best, keep = total, len(moves)
+        for i, a in reversed(moves[keep:]):
+            self.move(i, a)
+        return best
+
+    def swap_pass(self) -> float:
+        """Repeatedly make the best swap of two tasks in different slots
+        while it lowers the cost and both slots stay under the threshold.
+        Returns the change in cost (zero or negative)."""
+        p = self.problem
+        tasks = np.arange(len(self.slot_of))
+        total = 0.0
+        while True:
+            slot_of = self.slot_of
+            # fits[i, j]: task j fits in task i's slot once task i leaves it.
+            room = self.usage[slot_of] - p.need
+            fits = (room[:, None, :] + p.need[None, :, :] <= p.limit).all(axis=2)
+            here = self.cost[tasks, slot_of]
+            across = self.cost[:, slot_of]  # across[i, j] = cost of i at j's slot
+            # Each side prices the pair's own channel as if the partner
+            # stayed put; after a swap that channel's length is unchanged.
+            delta = (
+                across - here[:, None]
+                + (across - here[:, None]).T
+                + 2.0 * p.width * p.dist[slot_of][:, slot_of]
+            )
+            delta[~(fits & fits.T) | (slot_of[:, None] == slot_of)] = np.inf
+            i, j = divmod(int(np.argmin(delta)), len(tasks))
+            if not delta[i, j] < -_GAIN_EPS:
+                return total
+            total += delta[i, j]
+            si, sj = int(slot_of[i]), int(slot_of[j])
+            self.move(i, sj)
+            self.move(j, si)
+
+    def run(self) -> np.ndarray:
+        """Alternate FM and swap passes until neither improves, checking
+        the ambient deadline between passes."""
+        deadline = current_deadline()
+        while True:
+            if deadline is not None:
+                deadline.check("intra-FPGA refinement")
+            if self.fm_pass() + self.swap_pass() > -_GAIN_EPS:
+                return self.slot_of
+
+
+def _floorplan_refine(
+    graph: TaskGraph, part: FPGAPart, config: IntraFloorplanConfig
+) -> dict[str, Slot]:
+    """Greedy seeds refined by FM and swap passes; the best one wins.
+
+    Each seed order is placed greedily at the configured threshold only
+    and then refined under it.  Distinct seeds are refined separately
+    and the lowest-cost result wins (the first on a tie).
+    """
+    problem = _SlotProblem(graph, part, config, config.threshold)
+    best: np.ndarray | None = None
+    best_cost = float("inf")
+    seen: set[bytes] = set()
+    for order in problem.seed_orders():
+        seed = problem.greedy(order)
+        if seed is None or seed.tobytes() in seen:
+            continue
+        seen.add(seed.tobytes())
+        refined = _Refinement(problem, seed).run()
+        cost = problem.objective(refined)
+        if cost < best_cost - _GAIN_EPS:
+            best, best_cost = refined, cost
+    if best is None:
+        raise InfeasibleError(
+            f"design {graph.name!r} does not fit the {part.name} slot grid at "
+            f"threshold {config.threshold}"
+        )
+    return problem.placement(best)
 
 
 def _floorplan_greedy(
     graph: TaskGraph, part: FPGAPart, config: IntraFloorplanConfig
 ) -> dict[str, Slot]:
-    """Connectivity-ordered first-fit that respects the slot threshold.
+    """Connectivity-ordered placement that respects the slot threshold.
 
-    The deadline ladder's last resort: no ILP, no recursion, one linear
+    The deadline ladder's last resort: no ILP, no refinement, one linear
     pass.  Unlike :func:`_floorplan_naive` (which deliberately models a
     floorplan-blind placer), this keeps the two properties that make a
     floorplan a floorplan — slots stay under the utilization threshold,
     and each task is placed in whichever feasible slot minimizes the
-    width-weighted distance to its already-placed neighbors.  Quality is
-    worse than the ILP (no lookahead) but the plan is DRC-clean and the
-    cost is microseconds.
+    width-weighted distance to its already-placed neighbors, plus the
+    same soft HBM affinity the ILP uses.  It is the first seed of
+    ``"refine"``, without the refinement.
 
     Placement order is a BFS over the channel graph seeded from the
-    largest task, so neighbors are placed near each other; HBM tasks pay
-    the same soft affinity toward the HBM row the ILP uses.  If the
-    configured threshold cannot pack the design the pass retries at 0.95
-    and 1.0 — full physical capacity — before declaring infeasibility.
+    largest task.  If the configured threshold cannot pack the design
+    the pass retries at 0.95 and 1.0 — full physical capacity — before
+    declaring infeasibility.
     """
-    slots = part.slots()
-    neighbors: dict[str, list[tuple[str, float]]] = {
-        name: [] for name in graph.task_names()
-    }
-    for chan in graph.channels():
-        if chan.src == chan.dst:
-            continue
-        neighbors[chan.src].append((chan.dst, float(chan.width_bits)))
-        neighbors[chan.dst].append((chan.src, float(chan.width_bits)))
-
-    # BFS from the heaviest task, tie-broken toward wide channels, so the
-    # order visits connected components cluster-by-cluster.
-    def area(name: str) -> float:
-        return graph.task(name).require_resources().lut
-
-    order: list[str] = []
-    seen: set[str] = set()
-    for seed in sorted(graph.task_names(), key=lambda n: (-area(n), n)):
-        if seed in seen:
-            continue
-        frontier = deque([seed])
-        seen.add(seed)
-        while frontier:
-            name = frontier.popleft()
-            order.append(name)
-            for nbr, _width in sorted(
-                neighbors[name], key=lambda p: (-p[1], p[0])
-            ):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
-
-    thresholds = [config.threshold]
-    for relaxed in (0.95, 1.0):
-        if relaxed > thresholds[-1]:
-            thresholds.append(relaxed)
-    for threshold in thresholds:
-        remaining = [slot.capacity * threshold for slot in slots]
-        placement: dict[str, Slot] = {}
-        feasible = True
-        for name in order:
-            need = graph.task(name).require_resources()
-            task = graph.task(name)
-            best_i: int | None = None
-            best_cost = float("inf")
-            for i, slot in enumerate(slots):
-                if not need.fits_within(remaining[i], threshold=1.0):
-                    continue
-                cost = sum(
-                    width * slot.distance_to(placement[nbr])
-                    for nbr, width in neighbors[name]
-                    if nbr in placement
-                )
-                if task.uses_hbm:
-                    cost += (
-                        config.hbm_affinity
-                        * len(task.hbm_ports)
-                        * abs(slot.row - part.hbm_row)
-                    )
-                if cost < best_cost:
-                    best_cost = cost
-                    best_i = i
-            if best_i is None:
-                feasible = False
-                break
-            placement[name] = slots[best_i]
-            remaining[best_i] = remaining[best_i] - need
-        if feasible:
-            return placement
+    for threshold in relaxed_thresholds(config.threshold):
+        problem = _SlotProblem(graph, part, config, threshold)
+        slot_of = problem.greedy(problem.bfs_order())
+        if slot_of is not None:
+            return problem.placement(slot_of)
     raise InfeasibleError(
         f"greedy placement cannot fit the design on {part.name} even at "
         f"full slot capacity"
@@ -458,14 +681,13 @@ def floorplan_intra(
     for task in graph.tasks():
         task.require_resources()
 
-    method = config.method
-    if method == "auto":
-        size = graph.num_tasks * part.num_slots
-        method = "ilp" if size <= AUTO_ILP_CUTOFF else "bisect"
+    method = "refine" if config.method == "auto" else config.method
 
     start = time.perf_counter()
     if graph.num_tasks == 0:
         placement: dict[str, Slot] = {}
+    elif method == "refine":
+        placement = _floorplan_refine(graph, part, config)
     elif method == "ilp":
         placement = _floorplan_ilp(graph, part, config)
     elif method == "bisect":

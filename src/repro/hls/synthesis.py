@@ -9,7 +9,6 @@ cheap, but the structure — and the per-task report — is the same).
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -20,6 +19,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ..graph.graph import TaskGraph
 from ..deadline import current_deadline
+from ..env import env_number
 from ..errors import SynthesisTimeoutError
 from .estimator import DEFAULT_COEFFICIENTS, CostCoefficients, ResourceEstimator
 from .resource import ResourceVector, total_resources
@@ -61,14 +61,8 @@ def _resolve_task_timeout(task_timeout_s: float | None) -> float | None:
     """
     if task_timeout_s is not None:
         return task_timeout_s if task_timeout_s > 0 else None
-    raw = os.environ.get("REPRO_SYNTH_TIMEOUT_S", "")
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
+    value = env_number("REPRO_SYNTH_TIMEOUT_S", None)
+    return value if value is not None and value > 0 else None
 
 
 def synthesize(

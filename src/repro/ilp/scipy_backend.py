@@ -103,10 +103,13 @@ def solve_with_scipy(
     elapsed = time.perf_counter() - start
 
     status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
+    telemetry = _telemetry(result)
     if result.x is None:
         if status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
             status = SolveStatus.ERROR
-        return Solution(status=status, solve_seconds=elapsed, backend="scipy-highs")
+        return Solution(
+            status=status, solve_seconds=elapsed, backend="scipy-highs", **telemetry
+        )
 
     values = {}
     for var in model.variables:
@@ -121,4 +124,17 @@ def solve_with_scipy(
         values=values,
         solve_seconds=elapsed,
         backend="scipy-highs",
+        **telemetry,
     )
+
+
+def _telemetry(result) -> dict:
+    """The MIP search's gap, dual bound and node count, where reported."""
+    gap = getattr(result, "mip_gap", None)
+    bound = getattr(result, "mip_dual_bound", None)
+    nodes = getattr(result, "mip_node_count", None)
+    return {
+        "mip_gap": None if gap is None else float(gap),
+        "mip_dual_bound": None if bound is None else float(bound),
+        "mip_node_count": None if nodes is None else int(nodes),
+    }

@@ -32,6 +32,13 @@ class Solution:
     solve_seconds: float = 0.0
     backend: str = ""
     nodes_explored: int = 0
+    #: HiGHS telemetry from ``scipy.optimize.milp``: the relative gap
+    #: and dual bound the search stopped at, and its branch-and-bound
+    #: node count.  None when the backend does not report them (the
+    #: pure-Python branch-and-bound).
+    mip_gap: float | None = None
+    mip_dual_bound: float | None = None
+    mip_node_count: int | None = None
 
     @property
     def is_usable(self) -> bool:

@@ -35,11 +35,11 @@ can be observed end to end.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 
 from ..deadline import current_deadline
+from ..env import env_number
 from ..errors import SolverError
 from .branch_bound import solve_with_branch_and_bound
 from .model import Model
@@ -49,21 +49,22 @@ from .solution import Solution, SolveStatus
 BACKENDS = ("scipy", "branch-bound")
 
 #: Per-thread record of completed solves: (winning backend, solve seconds,
-#: True when the branch-and-bound fallback rescued a failed primary).
+#: True when the branch-and-bound fallback rescued a failed primary, the
+#: solve's status).
 _THREAD_STATE = threading.local()
 
 #: Process-wide count of solve() calls, for the chaos wedge budget.
 _WEDGE_COUNTER = itertools.count()
 
 
-def _solve_log() -> list[tuple[str, float, bool]]:
+def _solve_log() -> list[tuple[str, float, bool, SolveStatus]]:
     log = getattr(_THREAD_STATE, "solve_log", None)
     if log is None:
         log = _THREAD_STATE.solve_log = []
     return log
 
 
-def drain_solve_log() -> list[tuple[str, float, bool]]:
+def drain_solve_log() -> list[tuple[str, float, bool, SolveStatus]]:
     """Return and clear this thread's record of solves since last drain."""
     log = _solve_log()
     drained = list(log)
@@ -72,7 +73,9 @@ def drain_solve_log() -> list[tuple[str, float, bool]]:
 
 
 def _record(solution: Solution, fell_back: bool) -> Solution:
-    _solve_log().append((solution.backend, solution.solve_seconds, fell_back))
+    _solve_log().append(
+        (solution.backend, solution.solve_seconds, fell_back, solution.status)
+    )
     return solution
 
 
@@ -95,20 +98,12 @@ def _effective_time_limit(time_limit: float | None) -> float | None:
 
 def _chaos_wedge(time_limit: float | None) -> None:
     """Honour the injected-wedge knobs (chaos testing only)."""
-    raw = os.environ.get("REPRO_CHAOS_WEDGE_ILP_S", "")
-    if not raw:
+    wedge_s = env_number("REPRO_CHAOS_WEDGE_ILP_S", None)
+    if wedge_s is None:
         return
-    try:
-        wedge_s = float(raw)
-    except ValueError:
-        return
-    count_raw = os.environ.get("REPRO_CHAOS_WEDGE_ILP_COUNT", "")
-    if count_raw:
-        try:
-            if next(_WEDGE_COUNTER) >= int(count_raw):
-                return  # wedge budget spent: the backend has "recovered"
-        except ValueError:
-            pass
+    count = env_number("REPRO_CHAOS_WEDGE_ILP_COUNT", None, int)
+    if count is not None and next(_WEDGE_COUNTER) >= count:
+        return  # wedge budget spent: the backend has "recovered"
     hold = wedge_s if time_limit is None else min(wedge_s, time_limit)
     if hold > 0:
         time.sleep(hold)

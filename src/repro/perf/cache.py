@@ -62,8 +62,8 @@ try:  # pragma: no cover - absent only on non-POSIX platforms
 except ImportError:  # pragma: no cover
     fcntl = None
 
+from ..env import env_number
 from .fingerprint import fingerprint_compile, fingerprint_simulate
-from .supervise import env_number
 
 _ENTRY_SUFFIX = ".pkl"
 

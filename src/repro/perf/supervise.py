@@ -20,27 +20,15 @@ they cannot drift:
   successful job resets the account.
 
 The same modules read their tuning knobs from ``REPRO_*`` environment
-variables; :func:`env_number` is the one parser they all use.
+variables through :func:`repro.env.env_number`.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-
-def env_number(name: str, default: Any, kind: Callable[[str], Any] = float) -> Any:
-    """The environment variable ``name`` parsed by ``kind`` (``float`` or
-    ``int``); ``default`` (which may be None) when it is unset, empty or
-    malformed — a bad knob never stops a service from starting."""
-    raw = os.environ.get(name, "")
-    try:
-        return kind(raw) if raw else default
-    except ValueError:
-        return default
+from typing import Callable
 
 
 @dataclass(slots=True)

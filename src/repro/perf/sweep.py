@@ -46,10 +46,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from ..env import env_number
 from ..errors import SweepInterrupted
 from .cache import cache_stats, merge_stats
 from .journal import RunJournal, current_journal, spec_key
-from .supervise import BackoffPolicy, env_number
+from .supervise import BackoffPolicy
 
 
 @dataclass(slots=True)

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..deadline import Deadline, deadline_scope
+from ..env import env_number
 from ..errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -65,7 +66,6 @@ from ..errors import (
     SynthesisError,
     WorkerCrashError,
 )
-from ..perf.supervise import env_number
 from .breaker import OPEN, BreakerConfig, CircuitBreaker
 from .brownout import BrownoutConfig, BrownoutController
 from .fleet import FleetConfig, WorkerFleet

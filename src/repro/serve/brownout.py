@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.ladder import TIERS
-from ..perf.supervise import env_number
+from ..env import env_number
 
 
 def _env_bool(name: str, default: bool) -> bool:

@@ -71,6 +71,7 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Any
 
 from ..deadline import Deadline, deadline_from_wire, deadline_scope, deadline_to_wire
+from ..env import env_number
 from ..errors import (
     CircuitOpenError,
     CommunicationError,
@@ -95,7 +96,7 @@ from ..errors import (
     WatchdogError,
     WorkerCrashError,
 )
-from ..perf.supervise import BackoffPolicy, RespawnGovernor, env_number
+from ..perf.supervise import BackoffPolicy, RespawnGovernor
 
 
 @dataclass(slots=True)

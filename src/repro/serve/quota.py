@@ -46,8 +46,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..env import env_number
 from ..errors import QuotaExceededError
-from ..perf.supervise import env_number
 
 #: The tenant of requests that never named one (the CLI default, bare
 #: HTTP bodies, library callers).  Deliberately a real tenant — the

@@ -5,6 +5,7 @@ runs in tier 1; the kill -9 / wedge / corruption scenarios live in
 ``tests/chaos/test_chaos_fleet.py``.
 """
 
+import itertools
 import multiprocessing
 import os
 import sys
@@ -21,11 +22,13 @@ from repro.errors import (
     DrainingError,
     InfeasibleError,
     OverloadedError,
+    SolverError,
     SynthesisTimeoutError,
     TapaCSError,
     WorkerCrashError,
 )
-from repro.perf.supervise import BackoffPolicy, RespawnGovernor, env_number
+from repro.env import env_number
+from repro.perf.supervise import BackoffPolicy, RespawnGovernor
 from repro.serve.broker import CompileRequest
 from repro.serve.fleet import (
     FleetConfig,
@@ -128,6 +131,42 @@ def test_env_number(monkeypatch, raw, default, kind, expected):
     monkeypatch.setenv("REPRO_TEST_KNOB", raw)
     value = env_number("REPRO_TEST_KNOB", default, kind)
     assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ("", None), ("soon", None), ("0", None), ("-1", None), ("2.5", 2.5),
+])
+def test_env_number_synth_timeout(monkeypatch, raw, expected):
+    """``REPRO_SYNTH_TIMEOUT_S``: unset, malformed or <= 0 disables it."""
+    from repro.hls.synthesis import _resolve_task_timeout
+
+    monkeypatch.setenv("REPRO_SYNTH_TIMEOUT_S", raw)
+    assert _resolve_task_timeout(None) == expected
+
+
+@pytest.mark.parametrize("wedge, count, wedged", [
+    ("", "", 0),
+    ("stuck", "", 0),
+    ("0", "", 3),
+    ("0", "lots", 3),
+    ("0", "2", 2),
+    ("0", "0", 0),
+])
+def test_env_number_ilp_wedge(monkeypatch, wedge, count, wedged):
+    """``REPRO_CHAOS_WEDGE_ILP_S``/``_COUNT``: a malformed wedge is off,
+    a malformed count wedges every solve, a count wedges the first N."""
+    from repro.ilp import solver
+
+    monkeypatch.setenv("REPRO_CHAOS_WEDGE_ILP_S", wedge)
+    monkeypatch.setenv("REPRO_CHAOS_WEDGE_ILP_COUNT", count)
+    monkeypatch.setattr(solver, "_WEDGE_COUNTER", itertools.count())
+    failures = 0
+    for _ in range(3):
+        try:
+            solver._chaos_wedge(None)
+        except SolverError:
+            failures += 1
+    assert failures == wedged
 
 
 class TestErrorTransport:

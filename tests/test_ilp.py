@@ -227,3 +227,29 @@ class TestBackendAgreement:
     def test_unknown_backend(self):
         with pytest.raises(SolverError, match="unknown ILP backend"):
             solve(Model(), backend="cplex")
+
+
+class TestSolverTelemetry:
+    def _tiny_mip(self):
+        m = Model("tiny")
+        xs = [m.integer_var(f"x{i}", lower=0, upper=5) for i in range(3)]
+        m.add_constraint(sum_expr(xs) >= 7)
+        m.add_constraint(xs[0] - xs[1] <= 1)
+        m.minimize(3 * xs[0] + 2 * xs[1] + 4 * xs[2])
+        return m
+
+    def test_scipy_reports_gap_bound_and_nodes(self):
+        sol = solve(self._tiny_mip(), backend="scipy")
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(16.0)  # x = (2, 5, 0)
+        assert isinstance(sol.mip_gap, float) and 0.0 <= sol.mip_gap <= 0.02
+        assert isinstance(sol.mip_dual_bound, float)
+        assert sol.mip_dual_bound <= sol.objective + 1e-6
+        assert sol.mip_dual_bound >= sol.objective * (1 - 0.02) - 1e-6
+        assert isinstance(sol.mip_node_count, int) and sol.mip_node_count >= 0
+
+    def test_branch_bound_leaves_them_unset(self):
+        sol = solve(self._tiny_mip(), backend="branch-bound")
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(16.0)  # x = (2, 5, 0)
+        assert (sol.mip_gap, sol.mip_dual_bound, sol.mip_node_count) == (None, None, None)

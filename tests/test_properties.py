@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import paper_testbed
-from repro.core import InterFloorplanConfig, floorplan_inter
-from repro.devices import ALVEO_U55C
+from repro.core import InterFloorplanConfig, IntraFloorplanConfig, floorplan_inter, floorplan_intra
+from repro.core.intra_floorplan import placement_objective
+from repro.devices import ALVEO_U55C, ALVEO_U250
+from repro.errors import InfeasibleError
 from repro.graph import Channel, Task, TaskGraph
+from repro.graph.task import MMAPPort, PortDirection
 from repro.hls import synthesize
+from repro.hls.resource import RESOURCE_KINDS
 from repro.sim import Environment, Get, Put
 
 
@@ -72,6 +76,83 @@ class TestFloorplanInvariants:
             costs[method] = plan.comm_cost
         # Exact optimization never loses to the heuristic (2% MIP gap).
         assert costs["ilp"] <= costs["greedy"] * 1.021 + 1e-6
+
+
+@st.composite
+def placement_cases(draw, max_tasks: int = 14):
+    """A random DAG in the style of the analyzer's fuzzed corpus (mixed
+    task sizes, some HBM ports, random channel widths), a device part
+    and a slot threshold."""
+    n = draw(st.integers(2, max_tasks))
+    # Task sizes scale with the count so that most designs about fill a
+    # device: some pack easily, some only at a loose threshold, some not.
+    max_lut = min(110_000, max(4_000, 1_200_000 // n))
+    g = TaskGraph(name="placement")
+    for i in range(n):
+        ports = [
+            MMAPPort(name=f"p{p}", direction=PortDirection.READ,
+                     width_bits=draw(st.sampled_from([64, 256, 512])), volume_bytes=1e6)
+            for p in range(draw(st.integers(0, 2)))
+        ]
+        g.add_task(Task(name=f"t{i}", hints={"lut": draw(st.integers(2_000, max_lut))},
+                        hbm_ports=ports))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.sampled_from([32, 128, 512])),
+        max_size=3 * n,
+    ))
+    for k, (a, b, width) in enumerate(edges):
+        if a != b:
+            g.add_channel(Channel(name=f"e{k}", src=f"t{min(a, b)}", dst=f"t{max(a, b)}",
+                                  width_bits=width))
+    part = draw(st.sampled_from([ALVEO_U55C, ALVEO_U250]))
+    threshold = draw(st.sampled_from([0.5, 0.7, 0.9]))
+    return g, part, threshold
+
+
+def check_refine_against_greedy(graph, part, threshold):
+    """``refine`` places every task under the threshold and never scores
+    worse than ``greedy`` whenever greedy's plan fits the threshold (then
+    greedy ran without relaxing it, and its plan is refine's first seed);
+    when it does not, refine may find no plan."""
+    synthesize(graph)
+    try:
+        greedy = floorplan_intra(
+            graph, part, config=IntraFloorplanConfig(method="greedy", threshold=threshold)
+        )
+    except InfeasibleError:  # not even at full slots, so not at the threshold
+        greedy_fits = False
+    else:
+        greedy_fits = all(
+            used.fits_within(part.slot_capacity, threshold)
+            for used in greedy.per_slot.values()
+        )
+    try:
+        plan = floorplan_intra(
+            graph, part, config=IntraFloorplanConfig(method="refine", threshold=threshold)
+        )
+    except InfeasibleError:
+        assert not greedy_fits
+        return
+    assert set(plan.placement) == set(graph.task_names())
+    assert plan.max_slot_utilization(part, RESOURCE_KINDS) <= threshold + 1e-9
+    if greedy_fits:
+        assert placement_objective(graph, part, plan.placement) <= placement_objective(
+            graph, part, greedy.placement
+        )
+
+
+class TestRefineInvariants:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=placement_cases())
+    def test_refine_is_feasible_and_beats_greedy(self, case):
+        check_refine_against_greedy(*case)
+
+    @pytest.mark.slow
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=placement_cases(max_tasks=60))
+    def test_refine_is_feasible_and_beats_greedy_deep(self, case):
+        check_refine_against_greedy(*case)
 
 
 class TestEngineConservation:
